@@ -37,6 +37,13 @@ cargo xtask audit --self-test
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
+echo "==> benchmark build + self-check (its adapters compile against Process/Ctx/Network)"
+# benchmark/ is a package of its own, outside the workspace, so the
+# workspace build above never compiles it. The self-check (~5 s) shows
+# every output check passing on a correct run and firing on a wrong one.
+cargo build --release --manifest-path benchmark/Cargo.toml
+cargo run -q --release --manifest-path benchmark/Cargo.toml -- --self-check
+
 echo "==> cargo test --workspace"
 cargo test -q --workspace
 

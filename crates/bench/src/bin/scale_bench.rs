@@ -59,6 +59,9 @@ fn experiment(kind: ProtocolKind, side: u32, engine: EngineKind) -> Experiment {
 /// the smoke gate can compare engines.
 fn run_cell(label: &str, kind: ProtocolKind, side: u32, engine: EngineKind) -> (ScaleCell, u64) {
     let exp = experiment(kind, side, engine);
+    // Each cell reports its own peak, not the running maximum of the
+    // cells before it; without the reset there is no per-cell figure.
+    let rss_reset = perf::reset_peak_rss();
     let t0 = obs::Stopwatch::start();
     let (outcome, hash) = exp.run_traced();
     let wall_ms = t0.elapsed_ms();
@@ -75,7 +78,7 @@ fn run_cell(label: &str, kind: ProtocolKind, side: u32, engine: EngineKind) -> (
         deliveries: outcome.stats.deliveries,
         messages: outcome.stats.messages_sent,
         wall_ms,
-        peak_rss_kb: perf::peak_rss_kb(),
+        peak_rss_kb: rss_reset.then(perf::peak_rss_kb).flatten(),
     };
     let rss = match cell.peak_rss_kb {
         Some(kb) => format!(", peak rss {} MB", kb / 1024),

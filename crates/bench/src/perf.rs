@@ -302,12 +302,13 @@ pub struct ScaleCell {
     pub messages: u64,
     /// Wall-clock duration of the run, milliseconds.
     pub wall_ms: f64,
-    /// Process peak RSS (`VmHWM`) in kilobytes when the cell finished,
-    /// or `None` where the probe is unavailable. The high-water mark is
-    /// monotone across a bench run, so a cell's value bounds the memory
-    /// of everything up to and including it; the final cell carries the
-    /// run's true peak. Memory regressions (e.g. per-node evidence
-    /// blow-up) surface here without any allocator instrumentation.
+    /// The cell's own peak RSS in kilobytes: the process high-water
+    /// mark (`VmHWM`), reset by [`reset_peak_rss`] just before the cell
+    /// ran and read when it finished. `None` where the probe or the
+    /// reset is unavailable — without the reset the mark would be the
+    /// running maximum of every earlier cell. Memory regressions (e.g.
+    /// per-node evidence blow-up) surface here without any allocator
+    /// instrumentation.
     pub peak_rss_kb: Option<u64>,
 }
 
@@ -319,6 +320,15 @@ pub fn peak_rss_kb() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     line.split_whitespace().nth(1)?.parse().ok()
+}
+
+/// Resets the process's peak-RSS high-water mark to its current RSS by
+/// writing `5` to `/proc/self/clear_refs` (Linux 4.0+), so the next
+/// [`peak_rss_kb`] read covers only what ran in between. Returns `false`
+/// where the reset is unavailable.
+#[must_use]
+pub fn reset_peak_rss() -> bool {
+    std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }
 
 impl ScaleCell {
@@ -563,6 +573,27 @@ mod tests {
         } else {
             assert_eq!(peak_rss_kb(), None);
         }
+    }
+
+    #[test]
+    fn peak_rss_reset_forgets_an_earlier_peak() {
+        if !reset_peak_rss() {
+            return; // no procfs reset on this platform: nothing to check
+        }
+        // Touch 64 MiB, free it (large blocks go back to the kernel),
+        // and the reset must bring the mark back below that peak.
+        let mut block = vec![0u8; 64 << 20];
+        for page in block.chunks_mut(4096) {
+            page[0] = 1;
+        }
+        drop(std::hint::black_box(block));
+        let before = peak_rss_kb().expect("VmHWM present on procfs");
+        assert!(reset_peak_rss());
+        let after = peak_rss_kb().expect("VmHWM present on procfs");
+        assert!(
+            after + (32 << 10) < before,
+            "reset left the peak at {after} kB (was {before} kB)"
+        );
     }
 
     #[test]

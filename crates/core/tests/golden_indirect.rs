@@ -17,12 +17,16 @@
 //! chain-forger), clustered / random-local / Bernoulli placements, and
 //! square and non-square tori. Row 8 deliberately over-seeds faults
 //! past the tolerance bound, pinning behavior on the wrong-commit path
-//! too.
+//! too. Rows 9–13 were captured from the per-node-outbox engine
+//! immediately before the shared-outbox rewrite. They pin transmission
+//! order for flood with crash faults, CPA with liars, persistent flood,
+//! a lossy channel with jammers and a spoofing channel.
 
 use rbcast_adversary::Placement;
 use rbcast_core::{engine, Experiment, FaultKind, ProtocolKind};
 use rbcast_grid::Torus;
 use rbcast_protocols::{CommitRule, IndirectConfig};
+use rbcast_sim::ChannelConfig;
 
 /// One pinned row: experiment constructor paired with the captured
 /// baseline `(hash, correct, wrong, undecided, rounds, deliveries,
@@ -195,6 +199,105 @@ fn goldens() -> Vec<Golden> {
             rounds: 6,
             deliveries: 115_688,
             messages: 20963,
+        },
+        // Rows 9-13 pin transmission order for the other protocols and
+        // the §X channels. The dense oracle shares the sparse engine's
+        // outbox collection, so these hashes, not engine parity, are
+        // what catch a reordering there.
+        Golden {
+            make: || {
+                Experiment::new(1, ProtocolKind::Flood)
+                    .with_t(2)
+                    .with_placement(Placement::RandomLocal {
+                        t: 2,
+                        seed: 5,
+                        attempts: 30,
+                    })
+                    .with_fault_kind(FaultKind::CrashStop)
+            },
+            hash: 0xfbc5_7ab1_ffd7_9a20,
+            correct: 120,
+            wrong: 0,
+            undecided: 0,
+            rounds: 6,
+            deliveries: 650,
+            messages: 120,
+        },
+        Golden {
+            make: || {
+                Experiment::new(1, ProtocolKind::Cpa)
+                    .with_t(1)
+                    .with_placement(Placement::RandomLocal {
+                        t: 1,
+                        seed: 11,
+                        attempts: 30,
+                    })
+                    .with_fault_kind(FaultKind::Liar)
+            },
+            hash: 0x1ce9_6ea9_8bf8_25b6,
+            correct: 135,
+            wrong: 0,
+            undecided: 0,
+            rounds: 10,
+            deliveries: 1680,
+            messages: 215,
+        },
+        Golden {
+            make: || {
+                Experiment::new(1, ProtocolKind::PersistentFlood { repeats: 3 })
+                    .with_t(1)
+                    .with_placement(Placement::RandomLocal {
+                        t: 1,
+                        seed: 4,
+                        attempts: 30,
+                    })
+                    .with_fault_kind(FaultKind::CrashStop)
+                    .with_early_termination(false)
+            },
+            hash: 0xb9c4_55a0_c97a_1f42,
+            correct: 134,
+            wrong: 0,
+            undecided: 0,
+            rounds: 9,
+            deliveries: 2976,
+            messages: 402,
+        },
+        Golden {
+            make: || {
+                // Jammers default to the placed (silent) faults.
+                Experiment::new(1, ProtocolKind::PersistentFlood { repeats: 2 })
+                    .with_t(1)
+                    .with_placement(Placement::RandomLocal {
+                        t: 1,
+                        seed: 8,
+                        attempts: 30,
+                    })
+                    .with_fault_kind(FaultKind::Silent)
+                    .with_channel(ChannelConfig::lossy(0.2, 2, 42).with_jammers(Vec::new(), 2))
+            },
+            hash: 0x473b_3d90_6d69_e3ad,
+            correct: 134,
+            wrong: 0,
+            undecided: 0,
+            rounds: 7,
+            deliveries: 1782,
+            messages: 265,
+        },
+        Golden {
+            make: || {
+                Experiment::new(1, ProtocolKind::Cpa)
+                    .with_t(1)
+                    .with_placement(Placement::FrontierCluster { t: 1 })
+                    .with_fault_kind(FaultKind::Spoofer)
+                    .with_channel(ChannelConfig::reliable().with_spoofing())
+            },
+            hash: 0x1ff2_39ac_a2df_3a86,
+            correct: 72,
+            wrong: 71,
+            undecided: 0,
+            rounds: 9,
+            deliveries: 1192,
+            messages: 152,
         },
     ]
 }

@@ -27,7 +27,7 @@
 //! node, mirroring how a serving system runs many broadcasts at once
 //! over the same topology.
 
-use crate::process::{DecisionLedger, NodeState};
+use crate::process::NodeBuffers;
 use crate::{Ctx, Process, Round, Value};
 use rbcast_grid::{NeighborTable, NodeId, TdmaSchedule};
 use std::collections::BTreeMap;
@@ -116,10 +116,8 @@ pub struct NodeDriver<M> {
     arena: Arc<NeighborTable>,
     id: NodeId,
     proc: Box<dyn Process<M>>,
-    state: NodeState<M>,
+    buffers: NodeBuffers<M>,
     round: Round,
-    messages_sent: u64,
-    ledger: DecisionLedger,
     delivered: bool,
     wake: bool,
 }
@@ -129,7 +127,7 @@ impl<M> std::fmt::Debug for NodeDriver<M> {
         f.debug_struct("NodeDriver")
             .field("id", &self.id)
             .field("round", &self.round)
-            .field("decision", &self.state.decision)
+            .field("decision", &self.buffers.decision)
             .finish_non_exhaustive()
     }
 }
@@ -138,15 +136,12 @@ impl<M> NodeDriver<M> {
     /// Creates the driver and runs the process's `on_start` (round 0).
     #[must_use]
     pub fn new(arena: Arc<NeighborTable>, id: NodeId, proc: Box<dyn Process<M>>) -> Self {
-        let n = arena.len();
         let mut driver = NodeDriver {
             arena,
             id,
             proc,
-            state: NodeState::default(),
+            buffers: NodeBuffers::new(),
             round: 0,
-            messages_sent: 0,
-            ledger: DecisionLedger::new(n),
             delivered: false,
             wake: false,
         };
@@ -155,17 +150,10 @@ impl<M> NodeDriver<M> {
     }
 
     fn with_ctx<F: FnOnce(&mut dyn Process<M>, &mut Ctx<'_, M>)>(&mut self, f: F) {
-        let arena = Arc::clone(&self.arena);
-        let mut ctx = Ctx {
-            id: self.id,
-            coord: arena.torus().coord(self.id),
-            arena: &arena,
-            round: self.round,
-            state: &mut self.state,
-            messages_sent: &mut self.messages_sent,
-            ledger: &mut self.ledger,
-        };
-        f(self.proc.as_mut(), &mut ctx);
+        f(
+            self.proc.as_mut(),
+            &mut self.buffers.ctx(&self.arena, self.id, self.round),
+        );
     }
 
     /// This node's id.
@@ -177,7 +165,7 @@ impl<M> NodeDriver<M> {
     /// Total broadcasts performed by the process so far.
     #[must_use]
     pub fn messages_sent(&self) -> u64 {
-        self.messages_sent
+        self.buffers.messages_sent
     }
 }
 
@@ -199,11 +187,11 @@ impl<M> ProtocolDriver<M> for NodeDriver<M> {
         }
         self.delivered = false;
         self.round += 1;
-        self.state.outbox.drain(..).map(|(_, m)| m).collect()
+        self.buffers.outbox.drain(..).map(|tx| tx.msg).collect()
     }
 
     fn decision(&self) -> Option<(Value, Round)> {
-        self.state.decision
+        self.buffers.decision
     }
 
     fn round(&self) -> Round {

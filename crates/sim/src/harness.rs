@@ -5,7 +5,7 @@
 //! whole [`crate::Network`]. The protocols crate uses it to pin down
 //! message-validation behaviour hop by hop.
 
-use crate::process::{DecisionLedger, NodeState};
+use crate::process::NodeBuffers;
 use crate::{Ctx, Process, Round, Value};
 use rbcast_grid::{Metric, NeighborTable, NodeId, Torus};
 
@@ -36,10 +36,8 @@ use rbcast_grid::{Metric, NeighborTable, NodeId, Torus};
 pub struct Harness<M> {
     arena: NeighborTable,
     id: NodeId,
-    state: NodeState<M>,
+    buffers: NodeBuffers<M>,
     round: Round,
-    messages_sent: u64,
-    ledger: DecisionLedger,
 }
 
 impl<M> Harness<M> {
@@ -47,28 +45,16 @@ impl<M> Harness<M> {
     /// private topology arena for it).
     #[must_use]
     pub fn new(torus: Torus, radius: u32, metric: Metric, id: NodeId) -> Self {
-        let n = torus.len();
         Harness {
             arena: NeighborTable::build(&torus, radius, metric),
             id,
-            state: NodeState::default(),
+            buffers: NodeBuffers::new(),
             round: 0,
-            messages_sent: 0,
-            ledger: DecisionLedger::new(n),
         }
     }
 
     fn with_ctx<F: FnOnce(&mut Ctx<'_, M>)>(&mut self, f: F) {
-        let mut ctx = Ctx {
-            id: self.id,
-            coord: self.arena.torus().coord(self.id),
-            arena: &self.arena,
-            round: self.round,
-            state: &mut self.state,
-            messages_sent: &mut self.messages_sent,
-            ledger: &mut self.ledger,
-        };
-        f(&mut ctx);
+        f(&mut self.buffers.ctx(&self.arena, self.id, self.round));
     }
 
     /// Invokes the process's `on_start`.
@@ -91,30 +77,34 @@ impl<M> Harness<M> {
     /// only; claimed identities are dropped — use
     /// [`Harness::drain_outbox_claimed`] to observe spoofing attempts).
     pub fn drain_outbox(&mut self) -> Vec<M> {
-        self.state.outbox.drain(..).map(|(_, m)| m).collect()
+        self.buffers.outbox.drain(..).map(|tx| tx.msg).collect()
     }
 
     /// Takes the queued broadcasts with their claimed sender identities.
     pub fn drain_outbox_claimed(&mut self) -> Vec<(NodeId, M)> {
-        self.state.outbox.drain(..).collect()
+        self.buffers
+            .outbox
+            .drain(..)
+            .map(|tx| (tx.claimed, tx.msg))
+            .collect()
     }
 
     /// The decision recorded so far, if any.
     #[must_use]
     pub fn decision(&self) -> Option<Value> {
-        self.state.decision.map(|(v, _)| v)
+        self.buffers.decision.map(|(v, _)| v)
     }
 
     /// Takes the protocol-level trace notes recorded via
     /// [`Ctx::note`] since the last drain.
     pub fn drain_notes(&mut self) -> Vec<(&'static str, u64)> {
-        std::mem::take(&mut self.state.notes)
+        std::mem::take(&mut self.buffers.notes)
     }
 
     /// Total broadcasts the process has performed.
     #[must_use]
     pub fn messages_sent(&self) -> u64 {
-        self.messages_sent
+        self.buffers.messages_sent
     }
 
     /// The current round counter.

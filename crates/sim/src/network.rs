@@ -1,7 +1,7 @@
 //! The synchronous round-based network engine.
 
 use crate::channel::delivery_lost;
-use crate::process::{DecisionLedger, NodeState};
+use crate::process::{DecisionLedger, Transmission};
 use crate::trace::{TraceEvent, TraceSink, FNV_OFFSET};
 use crate::{ChannelConfig, Ctx, Process, Round, RoundReport, RunStats, StopReason, Value};
 use rbcast_grid::{BitSet, Metric, NeighborTable, NodeId, Torus};
@@ -40,16 +40,6 @@ struct SafetyOracle {
     faulty: Vec<bool>,
 }
 
-/// One transmission on the air: the true sender, the identity the
-/// channel reports to receivers (differs only under the §X spoofing
-/// relaxation), and the payload.
-#[derive(Debug, Clone)]
-struct Transmission<M> {
-    sender: NodeId,
-    claimed: NodeId,
-    msg: M,
-}
-
 /// A finite toroidal radio network executing one [`Process`] per node.
 ///
 /// Execution proceeds in synchronous rounds:
@@ -60,8 +50,8 @@ struct Transmission<M> {
 ///    reproducing the broadcast-channel ordering guarantee of §II;
 /// 2. each alive node's [`Process::on_message`] runs per delivery, then
 ///    [`Process::on_round_end`] runs once;
-/// 3. outboxes are collected for the next round; nodes crashed at or
-///    before the current round transmit nothing.
+/// 3. the round's broadcasts are collected for the next round; nodes
+///    crashed at or before the current round transmit nothing.
 ///
 /// The run ends at quiescence (nothing on the air) or after `max_rounds`.
 pub struct Network<M> {
@@ -75,8 +65,17 @@ pub struct Network<M> {
     /// transmission order without consulting the schedule.
     rank_of: Vec<u32>,
     engine: EngineKind,
-    processes: Vec<Option<Box<dyn Process<M>>>>,
-    states: Vec<NodeState<M>>,
+    processes: Vec<Box<dyn Process<M>>>,
+    /// Every node's decision, indexed by node id. `Ctx::decide` writes
+    /// a node's slot and its [`DecisionLedger`] bit together.
+    decisions: Vec<Option<(Value, Round)>>,
+    /// The one outbox all nodes share: [`Ctx::broadcast`] appends
+    /// `(sender, claimed, msg)` in callback order, so each sender's
+    /// entries are in FIFO order. `collect_transmissions` puts it in
+    /// transmission order once per round (see there).
+    outbox: Vec<Transmission<M>>,
+    /// Trace notes of the running callback, drained after it returns.
+    notes: Vec<(&'static str, u64)>,
     /// SoA crash schedule: round at which each node crash-stops,
     /// [`NEVER`] if it doesn't. Replaces a `Vec<Option<Round>>` so the
     /// per-delivery liveness test is one compare on a dense `u32` array.
@@ -185,15 +184,16 @@ impl<M> Network<M> {
         // runtime via the driver module so both sort identically.
         let order = crate::driver::transmission_order(&arena);
         let rank_of = crate::driver::transmission_ranks(&order, n);
-        let processes = torus.node_ids().map(|id| Some(make(id))).collect();
-        let states = (0..n).map(|_| NodeState::default()).collect();
+        let processes = torus.node_ids().map(&mut make).collect();
         Network {
             arena,
             order,
             rank_of,
             engine: EngineKind::default(),
             processes,
-            states,
+            decisions: vec![None; n],
+            outbox: Vec::new(),
+            notes: Vec::new(),
             crashed_at: vec![NEVER; n],
             jam_remaining: vec![channel.jam_budget; channel.jammers.len()],
             channel,
@@ -344,10 +344,13 @@ impl<M> Network<M> {
         // the run, so deliveries can borrow the receiver slice and the
         // on-air message while `with_ctx` borrows `self` mutably — no
         // per-transmission receiver-list clone and no per-delivery
-        // message clone.
+        // message clone. `on_air` and the shared outbox swap buffers
+        // every round, so after the first rounds nothing is allocated.
         let order = std::mem::take(&mut self.order);
         let arena = Arc::clone(&self.arena);
         let sparse = self.engine == EngineKind::Sparse;
+        let tracing = self.tracing();
+        let lossy = self.channel.loss > 0.0 || self.channel.burst.is_some();
 
         // Round 0 runs dense under both engines: every process gets its
         // `on_start` and first `on_round_end` regardless of traffic.
@@ -369,7 +372,7 @@ impl<M> Network<M> {
             self.wake.clear_all();
             self.delivered.clear_all();
             for &id in &order {
-                if !self.is_crashed(id, 0) && self.process(id).needs_round_end() {
+                if !self.is_crashed(id, 0) && self.processes[id.index()].needs_round_end() {
                     self.wake.set(id.index());
                 }
             }
@@ -377,7 +380,8 @@ impl<M> Network<M> {
         // Round-0 decisions (e.g. a source committing at start-up)
         // predate the first delivery round; surface them in the stream.
         self.scan_decisions(0);
-        let mut on_air = self.collect_transmissions(&order, 0);
+        let mut on_air = Vec::new();
+        self.collect_transmissions(&mut on_air, 0);
 
         let mut round: Round = 0;
         let mut early_stopped = false;
@@ -395,7 +399,7 @@ impl<M> Network<M> {
             // jammer's range.
             self.assign_jammers(&arena, &on_air, round);
             self.jammed_transmissions += self.jam_scratch.iter().flatten().count() as u64;
-            if self.tracing() {
+            if tracing {
                 self.emit(TraceEvent::RoundStart {
                     round,
                     on_air: on_air.len() as u64,
@@ -406,8 +410,11 @@ impl<M> Network<M> {
             }
             // Deliver everything on the air, in global transmission
             // order, walking each sender's fan-out as a flat CSR slice.
+            // Per-transmission and per-run channel facts (the jammer, a
+            // loss-free channel, tracing) are read once, outside the
+            // per-receiver loop.
             for (tx_index, tx) in on_air.iter().enumerate() {
-                if self.tracing() {
+                if tracing {
                     self.emit(TraceEvent::Transmission {
                         round,
                         index: tx_index as u64,
@@ -415,11 +422,12 @@ impl<M> Network<M> {
                         claimed: tx.claimed.index() as u64,
                     });
                 }
+                let jammer = self.jam_scratch[tx_index];
                 for &rid in arena.neighbors(tx.sender) {
                     if self.is_crashed(rid, round) {
                         continue;
                     }
-                    if let Some(jammer) = self.jam_scratch[tx_index] {
+                    if let Some(jammer) = jammer {
                         if arena.torus().within(
                             arena.torus().coord(jammer),
                             arena.torus().coord(rid),
@@ -427,7 +435,7 @@ impl<M> Network<M> {
                             arena.metric(),
                         ) {
                             self.jammed_deliveries += 1;
-                            if self.tracing() {
+                            if tracing {
                                 self.emit(TraceEvent::Jammed {
                                     round,
                                     index: tx_index as u64,
@@ -438,9 +446,9 @@ impl<M> Network<M> {
                             continue;
                         }
                     }
-                    if delivery_lost(&self.channel, round, tx_index, tx.sender, rid) {
+                    if lossy && delivery_lost(&self.channel, round, tx_index, tx.sender, rid) {
                         self.lost_deliveries += 1;
-                        if self.tracing() {
+                        if tracing {
                             self.emit(TraceEvent::Lost {
                                 round,
                                 index: tx_index as u64,
@@ -498,7 +506,7 @@ impl<M> Network<M> {
                     self.with_ctx(id, round, |proc, ctx| proc.on_round_end(ctx));
                     // Re-read the quiescence declaration now that the
                     // callback may have changed the process's state.
-                    if self.process(id).needs_round_end() {
+                    if self.processes[id.index()].needs_round_end() {
                         self.wake.set(id.index());
                     } else {
                         self.wake.clear(id.index());
@@ -538,20 +546,7 @@ impl<M> Network<M> {
             // Collect before the early-exit check so everything a
             // process emitted is classified and counted: per-kind
             // tallies sum to `messages_sent` in both termination modes.
-            //
-            // Sparse: only frontier nodes ran a callback this round, and
-            // outboxes are drained every round, so the frontier (already
-            // in TDMA rank order) is exactly the set of possibly
-            // non-empty outboxes — collecting it yields the identical
-            // transmission vector the dense full sweep would.
-            on_air = if sparse {
-                let frontier = std::mem::take(&mut self.frontier);
-                let out = self.collect_transmissions(&frontier, round);
-                self.frontier = frontier;
-                out
-            } else {
-                self.collect_transmissions(&order, round)
-            };
+            self.collect_transmissions(&mut on_air, round);
             if self.hash_frozen && self.early_termination {
                 early_stopped = !on_air.is_empty();
                 break;
@@ -613,9 +608,8 @@ impl<M> Network<M> {
         if self.tracing() && !fresh.is_empty() {
             fresh.sort_unstable();
             for &idx in &fresh {
-                let (value, _) = self.states[idx as usize]
-                    .decision
-                    .expect("ledger fresh entry has a decision");
+                let (value, _) =
+                    self.decisions[idx as usize].expect("ledger fresh entry has a decision");
                 self.emit(TraceEvent::Decision {
                     round,
                     node: u64::from(idx),
@@ -629,16 +623,12 @@ impl<M> Network<M> {
     }
 
     /// Satellite regression gate: the incremental decided counter must
-    /// match a full scan of node states after every round (and the
+    /// match a full scan of the decision array after every round (and the
     /// mask-restricted popcounts must match a recount). Compiled only
     /// under `debug-invariants`, which the determinism gate runs with.
     #[cfg(feature = "debug-invariants")]
     fn check_decided_counter(&self, round: Round) {
-        let scanned = self
-            .states
-            .iter()
-            .filter(|st| st.decision.is_some())
-            .count() as u64;
+        let scanned = self.decisions.iter().filter(|d| d.is_some()).count() as u64;
         assert_eq!(
             self.ledger.decided_count, scanned,
             "incremental decided counter diverged from the full scan at round {round}",
@@ -737,11 +727,11 @@ impl<M> Network<M> {
         let Some(oracle) = &self.oracle else {
             return;
         };
-        for (i, st) in self.states.iter().enumerate() {
+        for (i, decision) in self.decisions.iter().enumerate() {
             if oracle.faulty[i] {
                 continue;
             }
-            if let Some((v, at)) = st.decision {
+            if let Some((v, at)) = *decision {
                 assert!(
                     v == oracle.truth,
                     "T2 safety violated: honest node {i} committed {v} (truth: {}) \
@@ -778,13 +768,13 @@ impl<M> Network<M> {
     /// The decisions of every node, indexed by node id.
     #[must_use]
     pub fn decisions(&self) -> Vec<Option<(Value, Round)>> {
-        self.states.iter().map(|s| s.decision).collect()
+        self.decisions.clone()
     }
 
     /// One node's decision.
     #[must_use]
     pub fn decision(&self, id: NodeId) -> Option<(Value, Round)> {
-        self.states[id.index()].decision
+        self.decisions[id.index()]
     }
 
     /// The latest round at which any node in `ids` decided, or `None`
@@ -793,7 +783,7 @@ impl<M> Network<M> {
     #[must_use]
     pub fn latest_decision_round(&self, ids: &[NodeId]) -> Option<Round> {
         ids.iter()
-            .filter_map(|&id| self.states[id.index()].decision.map(|(_, round)| round))
+            .filter_map(|&id| self.decisions[id.index()].map(|(_, round)| round))
             .max()
     }
 
@@ -801,37 +791,30 @@ impl<M> Network<M> {
     /// state after a run).
     #[must_use]
     pub fn process(&self, id: NodeId) -> &dyn Process<M> {
-        self.processes[id.index()]
-            .as_deref()
-            .expect("process present outside callback")
+        self.processes[id.index()].as_ref()
     }
 
     fn with_ctx<F>(&mut self, id: NodeId, round: Round, f: F)
     where
         F: FnOnce(&mut dyn Process<M>, &mut Ctx<'_, M>),
     {
-        let mut proc = self.processes[id.index()]
-            .take()
-            .expect("re-entrant process callback");
-        {
-            let mut ctx = Ctx {
-                id,
-                coord: self.arena.torus().coord(id),
-                arena: &self.arena,
-                round,
-                state: &mut self.states[id.index()],
-                messages_sent: &mut self.messages_sent,
-                ledger: &mut self.ledger,
-            };
-            f(proc.as_mut(), &mut ctx);
-        }
-        self.processes[id.index()] = Some(proc);
-        // Forward any notes the callback queued. Taking the vec is free
-        // when empty; events are constructed only while tracing.
-        if !self.states[id.index()].notes.is_empty() {
-            let notes = std::mem::take(&mut self.states[id.index()].notes);
+        let mut ctx = Ctx {
+            id,
+            arena: &self.arena,
+            round,
+            outbox: &mut self.outbox,
+            decision: &mut self.decisions[id.index()],
+            notes: &mut self.notes,
+            messages_sent: &mut self.messages_sent,
+            ledger: Some(&mut self.ledger),
+        };
+        f(self.processes[id.index()].as_mut(), &mut ctx);
+        // Forward any notes the callback queued; events are constructed
+        // only while tracing.
+        if !self.notes.is_empty() {
+            let mut notes = std::mem::take(&mut self.notes);
             if self.tracing() {
-                for (label, value) in notes {
+                for &(label, value) in &notes {
                     self.emit(TraceEvent::Note {
                         round,
                         node: id.index() as u64,
@@ -840,32 +823,40 @@ impl<M> Network<M> {
                     });
                 }
             }
+            notes.clear();
+            self.notes = notes;
         }
     }
 
-    /// Drains outboxes in transmission order; crashed nodes stay silent.
-    /// Forged identities are honoured only when the channel allows
-    /// spoofing.
-    fn collect_transmissions(&mut self, order: &[NodeId], round: Round) -> Vec<Transmission<M>> {
-        let mut out = Vec::new();
-        for &id in order {
-            if self.is_crashed(id, round) {
-                self.states[id.index()].outbox.clear();
-                continue;
+    /// Moves the shared outbox onto the air (`on_air`, whose old
+    /// contents are dropped) in transmission order. Broadcasts were
+    /// appended in callback order, so a *stable* sort on the sender's
+    /// TDMA rank puts senders in schedule order and keeps each sender's
+    /// broadcasts FIFO, whichever order the engine ran callbacks in.
+    /// Crashed senders stay silent, and forged identities are honoured
+    /// only when the channel allows spoofing. The two buffers swap, so
+    /// both keep their capacity.
+    fn collect_transmissions(&mut self, on_air: &mut Vec<Transmission<M>>, round: Round) {
+        let rank_of = &self.rank_of;
+        self.outbox.sort_by_key(|tx| rank_of[tx.sender.index()]);
+        on_air.clear();
+        std::mem::swap(on_air, &mut self.outbox);
+        let crashed_at = &self.crashed_at;
+        let spoofing = self.channel.spoofing;
+        let classifier = self.classifier;
+        let kind_counts = &mut self.kind_counts;
+        on_air.retain_mut(|tx| {
+            if crashed_at[tx.sender.index()] <= round {
+                return false;
             }
-            for (claimed, msg) in self.states[id.index()].outbox.drain(..) {
-                let claimed = if self.channel.spoofing { claimed } else { id };
-                if let Some(classify) = self.classifier {
-                    *self.kind_counts.entry(classify(&msg)).or_insert(0) += 1;
-                }
-                out.push(Transmission {
-                    sender: id,
-                    claimed,
-                    msg,
-                });
+            if !spoofing {
+                tx.claimed = tx.sender;
             }
-        }
-        out
+            if let Some(classify) = classifier {
+                *kind_counts.entry(classify(&tx.msg)).or_insert(0) += 1;
+            }
+            true
+        });
     }
 }
 

@@ -43,36 +43,69 @@ pub trait Process<M> {
     }
 }
 
-/// Per-node simulator state exposed to [`Process`] callbacks.
-#[derive(Debug)]
-pub(crate) struct NodeState<M> {
-    /// Queued transmissions as `(claimed sender, payload)`; the claimed
-    /// identity only matters under the §X spoofing relaxation.
-    pub outbox: Vec<(NodeId, M)>,
-    pub decision: Option<(Value, Round)>,
-    /// Protocol-level trace notes queued by [`Ctx::note`], drained by
-    /// the driver after every callback.
-    pub notes: Vec<(&'static str, u64)>,
+/// One queued transmission: the true sender, the identity the channel
+/// reports to receivers (differs only under the §X spoofing relaxation),
+/// and the payload.
+#[derive(Debug, Clone)]
+pub(crate) struct Transmission<M> {
+    pub sender: NodeId,
+    pub claimed: NodeId,
+    pub msg: M,
 }
 
-impl<M> Default for NodeState<M> {
-    fn default() -> Self {
-        NodeState {
+/// The effect buffers of a host that runs a single node ([`crate::Harness`],
+/// [`crate::NodeDriver`]): its outbox, decision, pending notes and
+/// broadcast count. [`crate::Network`] keeps the same buffers flat, shared
+/// by all of its nodes.
+#[derive(Debug)]
+pub(crate) struct NodeBuffers<M> {
+    pub outbox: Vec<Transmission<M>>,
+    pub decision: Option<(Value, Round)>,
+    pub notes: Vec<(&'static str, u64)>,
+    pub messages_sent: u64,
+}
+
+impl<M> NodeBuffers<M> {
+    pub(crate) fn new() -> Self {
+        NodeBuffers {
             outbox: Vec::new(),
             decision: None,
             notes: Vec::new(),
+            messages_sent: 0,
+        }
+    }
+
+    /// A callback context for node `id` writing into these buffers. A
+    /// single-node host keeps no decision ledger: its one decision slot
+    /// is the whole record.
+    pub(crate) fn ctx<'a>(
+        &'a mut self,
+        arena: &'a NeighborTable,
+        id: NodeId,
+        round: Round,
+    ) -> Ctx<'a, M> {
+        Ctx {
+            id,
+            arena,
+            round,
+            outbox: &mut self.outbox,
+            decision: &mut self.decision,
+            notes: &mut self.notes,
+            messages_sent: &mut self.messages_sent,
+            ledger: None,
         }
     }
 }
 
 /// Incrementally maintained decision bookkeeping, updated at the moment
 /// [`Ctx::decide`] commits a node. Replaces the dense engine's O(n)
-/// per-round recount of `states[..].decision` and the O(n) completion-mask
+/// per-round recount of the decision array and the O(n) completion-mask
 /// zip scan with popcount-maintained counters and an O(1) frozen check.
 #[derive(Debug)]
 pub(crate) struct DecisionLedger {
     /// One bit per node: has this node decided? Kept in lockstep with
-    /// `NodeState::decision` — `Ctx::decide` is the only writer of either.
+    /// the network's decision array — `Ctx::decide` is the only writer
+    /// of either.
     pub decided: BitSet,
     /// Completion mask (nodes that must decide before the trace-hash
     /// freeze), when one is installed.
@@ -138,12 +171,19 @@ impl DecisionLedger {
 #[derive(Debug)]
 pub struct Ctx<'a, M> {
     pub(crate) id: NodeId,
-    pub(crate) coord: Coord,
     pub(crate) arena: &'a NeighborTable,
     pub(crate) round: Round,
-    pub(crate) state: &'a mut NodeState<M>,
+    /// The host's outbox. In a [`crate::Network`] it is shared by every
+    /// node and collected once per round.
+    pub(crate) outbox: &'a mut Vec<Transmission<M>>,
+    /// This node's decision slot.
+    pub(crate) decision: &'a mut Option<(Value, Round)>,
+    /// Trace notes queued by [`Ctx::note`], drained by the host after
+    /// every callback.
+    pub(crate) notes: &'a mut Vec<(&'static str, u64)>,
     pub(crate) messages_sent: &'a mut u64,
-    pub(crate) ledger: &'a mut DecisionLedger,
+    /// The network's decision bookkeeping; `None` in single-node hosts.
+    pub(crate) ledger: Option<&'a mut DecisionLedger>,
 }
 
 impl<'a, M> Ctx<'a, M> {
@@ -156,7 +196,7 @@ impl<'a, M> Ctx<'a, M> {
     /// This node's grid coordinate (canonical torus representative).
     #[must_use]
     pub fn coord(&self) -> Coord {
-        self.coord
+        self.arena.torus().coord(self.id)
     }
 
     /// The shared topology arena: precomputed CSR neighbor lists and the
@@ -201,9 +241,7 @@ impl<'a, M> Ctx<'a, M> {
     /// distance `r` at the start of the next round, in per-sender FIFO
     /// order.
     pub fn broadcast(&mut self, msg: M) {
-        *self.messages_sent += 1;
-        let id = self.id;
-        self.state.outbox.push((id, msg));
+        self.broadcast_as(self.id, msg);
     }
 
     /// Queues `msg` for local broadcast under a *forged* sender identity
@@ -213,15 +251,21 @@ impl<'a, M> Ctx<'a, M> {
     /// otherwise.
     pub fn broadcast_as(&mut self, claimed: NodeId, msg: M) {
         *self.messages_sent += 1;
-        self.state.outbox.push((claimed, msg));
+        self.outbox.push(Transmission {
+            sender: self.id,
+            claimed,
+            msg,
+        });
     }
 
     /// Records this node's irrevocable decision (the paper's *commit*).
     /// Later calls are ignored — a node commits at most once.
     pub fn decide(&mut self, v: Value) {
-        if self.state.decision.is_none() {
-            self.state.decision = Some((v, self.round));
-            self.ledger.record(self.id.index());
+        if self.decision.is_none() {
+            *self.decision = Some((v, self.round));
+            if let Some(ledger) = self.ledger.as_deref_mut() {
+                ledger.record(self.id.index());
+            }
         }
     }
 
@@ -232,18 +276,18 @@ impl<'a, M> Ctx<'a, M> {
     /// delivery-trace hash, so annotating a protocol cannot perturb
     /// determinism checks.
     pub fn note(&mut self, label: &'static str, value: u64) {
-        self.state.notes.push((label, value));
+        self.notes.push((label, value));
     }
 
     /// The value this node has decided, if any.
     #[must_use]
     pub fn decision(&self) -> Option<Value> {
-        self.state.decision.map(|(v, _)| v)
+        self.decision.map(|(v, _)| v)
     }
 
     /// True once [`Ctx::decide`] has been called.
     #[must_use]
     pub fn has_decided(&self) -> bool {
-        self.state.decision.is_some()
+        self.decision.is_some()
     }
 }

@@ -21,13 +21,36 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime.
 pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// `PRIME_POWERS[k]` is `FNV_PRIME^k`: the effect of folding `k` zero
+/// bytes, since XOR with zero leaves the accumulator unchanged.
+const PRIME_POWERS: [u64; 9] = {
+    let mut powers = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        powers[k] = powers[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    powers
+};
+
 /// Folds words into an FNV-1a accumulator, byte by byte, little-endian.
+///
+/// Trace words are mostly small (rounds, indices, node ids), so only a
+/// word's bytes up to its highest non-zero one are folded one by one;
+/// the zero bytes above it cost one multiplication by a precomputed
+/// power of the prime. The result is bit-identical to the plain fold.
 pub fn fold_words(hash: &mut u64, words: &[u64]) {
-    for w in words {
-        for byte in w.to_le_bytes() {
-            *hash ^= u64::from(byte);
-            *hash = hash.wrapping_mul(FNV_PRIME);
+    for &w in words {
+        let mut h = *hash;
+        let mut rest = w;
+        let mut folded = 0;
+        while rest != 0 {
+            h ^= rest & 0xff;
+            h = h.wrapping_mul(FNV_PRIME);
+            rest >>= 8;
+            folded += 1;
         }
+        *hash = h.wrapping_mul(PRIME_POWERS[8 - folded]);
     }
 }
 
@@ -387,10 +410,23 @@ mod tests {
 
     #[test]
     fn fold_matches_manual_fnv() {
+        // Small words, zero, interior zero bytes and full-width words:
+        // the zero-high-byte shortcut must agree with the plain fold.
+        let words = [
+            1u64,
+            2,
+            3,
+            0,
+            0xff,
+            0x100,
+            0x00ab_0000_00cd,
+            1 << 63,
+            u64::MAX,
+        ];
         let mut hash = FNV_OFFSET;
-        fold_words(&mut hash, &[1, 2, 3]);
+        fold_words(&mut hash, &words);
         let mut manual = FNV_OFFSET;
-        for w in [1u64, 2, 3] {
+        for w in words {
             for b in w.to_le_bytes() {
                 manual ^= u64::from(b);
                 manual = manual.wrapping_mul(FNV_PRIME);
